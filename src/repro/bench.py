@@ -36,7 +36,7 @@ counters plus a ``warm_vs_cold_seconds`` entry, so the perf trajectory
 captures caching wins next to replay-speed wins.
 
 Since format 6 the report also carries a ``predictors`` block: every registry
-model replays the same trace under the forced ``vector`` backend, and the
+model replays the same trace through its vector kernel, and the
 artifact records each model's branches/s, its kernel class
 (:func:`repro.sim.vector.kernel_status`), and ``gap_vs_vector`` — the
 composite reference kernel's throughput divided by the model's.  That ratio
@@ -79,7 +79,6 @@ from repro.engine import (
 )
 from repro.experiments.figure3 import figure3_grid
 from repro.obs.spans import SpanTracer, phase_seconds
-from repro.sim import fastpath
 from repro.store import DiskStore
 from repro.trace.workloads import GEM5_SMT_PAIRS
 
@@ -208,7 +207,6 @@ class BenchReport:
     """All timings of one bench invocation."""
 
     mode: str
-    backend: str = ""
     timings: list[BenchTiming] = field(default_factory=list)
     trace_cache: dict[str, int] = field(default_factory=dict)
     store: dict = field(default_factory=dict)
@@ -223,7 +221,6 @@ class BenchReport:
         return {
             "format": BENCH_SEQUENCE,
             "mode": self.mode,
-            "backend": self.backend,
             "total_seconds": round(self.total_seconds, 4),
             "trace_cache": dict(self.trace_cache),
             # Keyed by mode so a quick refresh merged into a full artifact
@@ -319,8 +316,8 @@ def measure_predictors(quick: bool = False) -> dict:
     """Per-model vector-backend throughput versus the composite kernel.
 
     Every registry model — the TAGE and Perceptron families, the ablation
-    facades, and the composite itself — replays the same trace under the
-    forced ``vector`` backend, serially, best of :data:`PREDICTOR_REPS`
+    facades, and the composite itself — replays the same trace through
+    its vector kernel, serially, best of :data:`PREDICTOR_REPS`
     repetitions.  The block records each model's branches/s, its kernel
     class (``kernel`` / ``guarded`` / ``fallback``, see
     :func:`repro.sim.vector.kernel_status`), and ``gap_vs_vector``: the
@@ -336,22 +333,21 @@ def measure_predictors(quick: bool = False) -> dict:
         branch_count=branch_count, warmup_branches=warmup, seed=7)
     workload = "505.mcf"
     models: dict[str, dict] = {}
-    with fastpath.forced_backend("vector"):
-        for name in sorted(list_models()):
-            jobs = SimulationGrid(kind="trace", models=(name,),
-                                  workloads=(workload,), scale=scale).jobs()
-            branches = EngineRunner._prewarm_traces(jobs)
-            best: float | None = None
-            for _ in range(PREDICTOR_REPS):
-                started = time.perf_counter()
-                EngineRunner(workers=1).run_jobs(jobs)
-                seconds = time.perf_counter() - started
-                best = seconds if best is None else min(best, seconds)
-            models[name] = {
-                "vector": vector.kernel_status(build_model(name, seed=0)),
-                "branches": branches,
-                "branches_per_second": round(branches / best, 1) if best else 0.0,
-            }
+    for name in sorted(list_models()):
+        jobs = SimulationGrid(kind="trace", models=(name,),
+                              workloads=(workload,), scale=scale).jobs()
+        branches = EngineRunner._prewarm_traces(jobs)
+        best: float | None = None
+        for _ in range(PREDICTOR_REPS):
+            started = time.perf_counter()
+            EngineRunner(workers=1).run_jobs(jobs)
+            seconds = time.perf_counter() - started
+            best = seconds if best is None else min(best, seconds)
+        models[name] = {
+            "vector": vector.kernel_status(build_model(name, seed=0)),
+            "branches": branches,
+            "branches_per_second": round(branches / best, 1) if best else 0.0,
+        }
     reference = models[PREDICTOR_REFERENCE_MODEL]["branches_per_second"]
     for entry in models.values():
         bps = entry["branches_per_second"]
@@ -457,7 +453,7 @@ def run_bench(quick: bool = False, workers: int = 1) -> BenchReport:
     verdict land in the artifact.
     """
     mode = "quick" if quick else "full"
-    report = BenchReport(mode=mode, backend=fastpath.backend())
+    report = BenchReport(mode=mode)
     parallel_runner = EngineRunner(workers=workers) if workers > 1 else None
     for name, grid in bench_grids(quick).items():
         jobs = grid.jobs()
@@ -546,7 +542,7 @@ def write_bench(report: BenchReport, path: str = DEFAULT_OUTPUT) -> None:
                 merged_serve.update(payload["serve"])
                 payload["serve"] = merged_serve
             # total_seconds stays the total of the *current run's mode* so it
-            # always describes one real invocation (the one "mode"/"backend"/
+            # always describes one real invocation (the one "mode"/
             # "trace_cache" also describe), never a cross-mode sum.
             payload["total_seconds"] = round(
                 sum(entry.get("seconds", 0.0) for entry in benches.values()
@@ -652,7 +648,8 @@ register_experiment(ExperimentSpec(
                help=f"artifact path (default: {DEFAULT_OUTPUT})"),
         Option("check", metavar="PREV.json", default=None,
                help="fail (exit != 0) when branches/s drops more than "
-                    f"{CHECK_TOLERANCE:.0%} below this recorded artifact's "
+                    f"{CHECK_TOLERANCE * 100:.0f}%% below this recorded "
+                    "artifact's "
                     "matching grids"),
         Option("check-tolerance", type=float, default=None, metavar="FRACTION",
                help="override the --check drop tolerance (same-machine "
@@ -674,7 +671,7 @@ def format_bench(report: BenchReport) -> str:
         f"{'bench':10s}{'jobs':>6s}{'branches':>12s}{'seconds':>10s}"
         f"{'Mbr/s':>8s}{'speedup':>9s}{'parallel':>10s}"
     )
-    lines = [f"mode: {report.mode}   backend: {report.backend}", header,
+    lines = [f"mode: {report.mode}", header,
              "-" * len(header)]
     for timing in report.timings:
         speedup = f"{timing.speedup:8.2f}x" if timing.speedup is not None else f"{'n/a':>9s}"

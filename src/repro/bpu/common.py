@@ -188,7 +188,7 @@ class BranchPredictorModel(abc.ABC):
         """An array-at-a-time replay kernel for :mod:`repro.sim.vector`.
 
         Returns ``None`` (the default) when the model has no exact vector
-        form; the simulators then fall back to the columnar fast path with a
+        form; the simulators then replay through the columnar loop with a
         logged notice.  Implementations gate on their exact class so
         behavioural subclasses never inherit a mismatched kernel.
         """

@@ -12,9 +12,7 @@ with every experiment name also kept as a top-level alias
 (``python -m repro figure3`` ≡ ``python -m repro run figure3``).
 
 Shared options: ``--workers`` (process-pool size; results are bit-identical
-to serial runs), ``--backend`` (replay backend: ``reference``/``fast``/
-``vector``; results are bit-identical across backends), ``--progress``
-(stream per-job completions to stderr), ``--scale`` (fidelity preset),
+to serial runs), ``--progress`` (stream per-job completions to stderr), ``--scale`` (fidelity preset),
 ``--seed``, ``--workload-limit``, ``--branches``/``--warmup`` (preset
 overrides), ``--json PATH`` (dump the result inside a versioned
 ``{"schema", "spec", "result"}`` envelope), and ``--store DIR`` /
@@ -23,6 +21,10 @@ when set).  Beyond the registry-generated experiment subcommands there are
 three hand-written ones: ``run`` (scenario files), ``store``
 (``stats``/``gc``/``verify`` maintenance of a store directory) and ``serve``
 (the HTTP front-end over the store).
+
+No option selects how traces are replayed: every replay takes the model's
+vector kernel when it has one that accepts the trace and the columnar loop
+otherwise (:func:`repro.sim.bpu_sim.replay`), and both give identical bytes.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from repro.engine import (
 )
 from repro.lint.cli import add_lint_parser
 from repro.obs.cli import add_obs_parser
-from repro.sim import fastpath
 from repro.store import DiskStore, default_store_path, open_store
 from repro.version import __version__
 
@@ -71,14 +72,6 @@ def _progress_printer() -> Callable:
         print(f"[{done}/{total}] {record.kind} {what} "
               f"({record.seconds * 1000.0:.0f} ms)", file=sys.stderr)
     return progress
-
-
-def _apply_backend(args: argparse.Namespace) -> None:
-    """Install the requested replay backend for this process (and, via fork,
-    any worker processes the runner starts)."""
-    backend = getattr(args, "backend", None)
-    if backend:
-        fastpath.set_backend(backend)
 
 
 def _resolve_store(args: argparse.Namespace):
@@ -109,7 +102,6 @@ def _report_store(store) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
     """Generic handler: every registered experiment dispatches through here."""
-    _apply_backend(args)
     spec: ExperimentSpec = args.spec
     # argparse already applied the option defaults; run_experiment does the
     # one and only merged_params pass (seed defaulting, unknown-key checks).
@@ -143,7 +135,6 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
 
 def _cmd_run_scenario(args: argparse.Namespace) -> None:
     """``run <path>.json|.toml`` — execute a user-authored scenario file."""
-    _apply_backend(args)
     target = args.target
     if not os.path.exists(target):
         raise ValueError(
@@ -204,7 +195,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     from repro.store.memory import MemoryStore
     from repro.store.serve import serve_forever
 
-    _apply_backend(args)
     store = open_store(path=args.store, enabled=args.use_store)
     plan = (parse_fault_spec(args.faults) if args.faults
             else plan_from_env())
@@ -232,12 +222,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser,
     """The shared execution options every job-running command accepts."""
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (default: 1, serial)")
-    parser.add_argument("--backend", choices=list(fastpath.BACKENDS),
-                        default=None,
-                        help="replay backend (default: "
-                             f"{fastpath.DEFAULT_BACKEND}, or "
-                             "$REPRO_SIM_BACKEND); results are identical "
-                             "across backends")
     parser.add_argument("--progress", action=argparse.BooleanOptionalAction,
                         default=progress_default,
                         help="stream per-job completions to stderr")
@@ -324,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="fault injection, e.g. 'error=0.1,"
                                    "latency=0.05,corrupt=0.1,seed=7' "
                                    "(default: $REPRO_FAULTS)")
-    serve_parser.add_argument("--backend", choices=list(fastpath.BACKENDS),
-                              default=None, help="replay backend override")
     _add_store_options(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
 

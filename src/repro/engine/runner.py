@@ -358,10 +358,6 @@ def _vector_fallback_suppressions(jobs: Sequence[Job]) -> tuple[str, ...]:
     logged would silently pre-suppress first notices in workers for
     unrelated models that still lack a kernel.
     """
-    from repro.sim import fastpath
-
-    if not fastpath.vector_enabled():
-        return ()
     from repro.sim import vector
 
     quiet: set[str] = set()

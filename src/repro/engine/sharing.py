@@ -12,14 +12,16 @@ their local trace cache.
 
 A :class:`SharedTrace` satisfies every consumer of a real
 :class:`~repro.trace.branch.Trace`: the vector backend reads the mapped
-arrays directly, while the scalar replay paths (and SMT trace merging)
+arrays directly, while the columnar loop (and SMT trace merging)
 materialise :class:`~repro.trace.branch.BranchRecord` objects lazily from the
-same arrays — bit-identical to the generator's output, paid only when a
-scalar path actually runs.
+same arrays — bit-identical to the generator's output, paid only when the
+columnar loop actually runs.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -226,15 +228,47 @@ class TraceShipment:
             self._shm = None
 
 
-_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
+class _AttachedBlock:
+    """A mapping of a block created by another :class:`TraceShipment`.
+
+    ``SharedMemory(name=...)`` registers every attach with the attaching
+    process's resource tracker (before Python 3.13).  A worker forked before
+    the parent's tracker started — a reused fork pool — gets a tracker of its
+    own, which at exit reports the block as leaked and unlinks it a second
+    time.  Only the creating :class:`TraceShipment` owns a block, so attaches
+    map it directly and register nothing.
+    """
+
+    __slots__ = ("buf", "_handle")
+
+    def __init__(self, name: str):
+        try:
+            from _posixshmem import shm_open
+        except ImportError:  # Windows: named mappings have no tracker
+            self._handle = shared_memory.SharedMemory(name=name)
+            self.buf = self._handle.buf
+            return
+        fd = shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self._handle = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._handle)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._handle.close()
+
+
+_ATTACHED: dict[str, _AttachedBlock] = {}
 
 
 #: Specs of every attached shipment, keyed by trace key — the cache-miss
 #: resolver rebuilds evicted SharedTraces from these mapped blocks.
-_SHARED_SPECS: dict[TraceKey, tuple[shared_memory.SharedMemory, dict]] = {}
+_SHARED_SPECS: dict[TraceKey, tuple[_AttachedBlock, dict]] = {}
 
 
-def _build_shared_trace(shm: shared_memory.SharedMemory, key: TraceKey,
+def _build_shared_trace(shm: _AttachedBlock, key: TraceKey,
                         spec: dict) -> SharedTrace:
     plan = spec["arrays"]
     mapped = {
@@ -284,10 +318,7 @@ def attach_shipment(descriptor: dict) -> int:
     shm = _ATTACHED.get(block)
     first_attach = shm is None
     if first_attach:
-        # Workers share the parent's resource tracker on POSIX, so attaching
-        # simply re-registers the same name — the parent's unlink remains the
-        # single point of removal.
-        shm = shared_memory.SharedMemory(name=block)
+        shm = _AttachedBlock(block)
         _ATTACHED[block] = shm
     for key, spec in descriptor["traces"].items():
         _SHARED_SPECS[key] = (shm, spec)

@@ -7,8 +7,8 @@ mechanically:
 * **determinism** — results are content-addressed by fingerprint (PR 5), so
   any hidden nondeterminism on the fingerprint/result path silently poisons
   the cache;
-* **backend parity** — every replay backend must stay bit-identical (PR 4/6),
-  so a model must never half-join the vector backend;
+* **backend parity** — vector kernels and the columnar loop must stay
+  bit-identical (PR 4/6), so a model must never half-join the vector backend;
 * **serve-tier thread safety** — everything reachable from ``repro serve``'s
   threaded handlers must be lock-disciplined.
 

@@ -10,10 +10,8 @@ percent that no test fails on.  This rule pins them:
   engine) must declare ``__slots__`` or be a ``@dataclass(slots=True)``;
   ``typing.Protocol`` / enum / exception classes are exempt (never
   instantiated per access);
-* no ``isinstance`` call inside a loop in the optimized replay modules
-  (``repro.sim.fastpath``, ``repro.sim.vector``) or the ``repro.bpu``
-  structures.  The *reference* replay loops in ``bpu_sim``/``smt`` keep
-  their item-type discrimination by design and are outside this scope.
+* no ``isinstance`` call inside a loop in the vector replay module
+  (``repro.sim.vector``) or the ``repro.bpu`` structures.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from repro.lint.rules._ast import (
 SLOTS_SCOPE = ("repro.bpu.", "repro.sim.vector")
 
 #: Optimized replay modules that must stay free of per-item isinstance.
-LOOP_SCOPE = ("repro.bpu.", "repro.sim.fastpath", "repro.sim.vector")
+LOOP_SCOPE = ("repro.bpu.", "repro.sim.vector")
 
 #: Base classes whose subclasses are exempt from the slots requirement.
 _EXEMPT_BASES = frozenset({

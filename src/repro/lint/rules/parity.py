@@ -1,8 +1,8 @@
 """``backend-parity``: models join the vector backend fully or not at all.
 
-The replay backends are parity-tested byte-identical, and the store answers
-for all of them with one fingerprint — so the vector surface must never be
-*half*-implemented.  The shapes this rule enforces (see
+The vector kernels and the columnar loop are parity-tested byte-identical,
+and the store answers for both with one fingerprint — so the vector surface
+must never be *half*-implemented.  The shapes this rule enforces (see
 :mod:`repro.bpu.mapping` and :mod:`repro.sim.vector` for the idiom):
 
 * an override of ``vector_kernel`` / ``vector_maps`` / ``vector_encode``

@@ -8,25 +8,29 @@ where flushing-based protections pay their cost and where STBPU reloads
 per-process tokens.
 
 Replaying is the repository's hot path (a paper-scale grid pushes hundreds of
-millions of branch records through models), so :meth:`TraceSimulator.run`
-dispatches on the process-wide backend switch (:mod:`repro.sim.fastpath`):
-the default ``vector`` backend replays the trace's ndarray view with the
-array kernels in :mod:`repro.sim.vector` (falling back per model when no
-kernel exists), the ``fast`` backend iterates the columnar view — branch runs
-pre-split from OS events, direction/conditional flags pre-decoded — with
-locally accumulated counters, and the per-item ``reference`` loop is retained
-for differential testing.  The parity tests pin all backends to
-byte-identical result frames.
+millions of branch records through models), so every replay — this
+simulator's and :class:`~repro.sim.smt.SMTSimulator`'s co-runs alike — goes
+through :func:`replay`, which follows one rule: replay the trace's ndarray
+view with the model's vector kernel (:mod:`repro.sim.vector`) when the model
+has one and the kernel accepts the trace; otherwise run
+:func:`replay_columnar`, one loop over the columnar view (branch runs
+pre-split from OS events, direction/conditional flags pre-decoded).  A
+single trace is a co-run with one thread.  The parity tests pin both paths
+to byte-identical results against a per-item oracle kept with the tests.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.bpu.common import BranchPredictorModel, PredictorStats
-from repro.sim import fastpath
 from repro.sim.metrics import AccuracyReport
 from repro.trace.branch import EventKind, PrivilegeMode, Trace, TraceEvent
+
+#: ``thread_offset`` of a single-trace replay: no context id reaches it, so
+#: every branch belongs to thread 0.
+SINGLE_THREAD = sys.maxsize
 
 
 @dataclass(slots=True)
@@ -50,89 +54,52 @@ def dispatch_event(model: BranchPredictorModel, event: TraceEvent) -> None:
         model.on_interrupt(event.context_id)
 
 
+def replay(model: BranchPredictorModel, trace: Trace, warmup: int,
+           per_thread_stats: tuple[PredictorStats, ...],
+           thread_offset: int = SINGLE_THREAD) -> None:
+    """Replay ``trace`` through ``model`` into ``per_thread_stats``.
+
+    A branch belongs to thread 1 when its context id is at least
+    ``thread_offset`` and to thread 0 otherwise; each thread's first
+    ``warmup`` branches train the model without being recorded.
+    """
+    from repro.sim import vector
+
+    kernel = vector.kernel_for(model)
+    if kernel is None or not kernel.run(trace, warmup, per_thread_stats,
+                                        thread_offset):
+        replay_columnar(model, trace, warmup, per_thread_stats, thread_offset)
+
+
+def replay_columnar(model: BranchPredictorModel, trace: Trace, warmup: int,
+                    per_thread_stats: tuple[PredictorStats, ...],
+                    thread_offset: int = SINGLE_THREAD) -> None:
+    """The scalar replay loop: :func:`replay` without a vector kernel."""
+    columns = trace.columns()
+    branches = columns.branches
+    takens = columns.takens
+    conditionals = columns.conditionals
+    context_ids = columns.context_ids
+    access = model.access_with_events
+    seen = [0, 0]
+    for start, stop, event in columns.segments:
+        for index in range(start, stop):
+            result = access(branches[index])
+            thread = 0 if context_ids[index] < thread_offset else 1
+            count = seen[thread] + 1
+            seen[thread] = count
+            if count > warmup:
+                per_thread_stats[thread].record_outcome(
+                    result, conditionals[index], takens[index])
+        if event is not None:
+            dispatch_event(model, event)
+
+
 class TraceSimulator:
     """Replays traces through predictor models and collects accuracy reports."""
 
     def __init__(self, warmup_branches: int = 0):
         self.warmup_branches = warmup_branches
-
-    def _dispatch_event(self, model: BranchPredictorModel, event: TraceEvent) -> None:
-        dispatch_event(model, event)
-
-    def _replay_items(self, model: BranchPredictorModel, trace: Trace,
-                      stats: PredictorStats) -> None:
-        """Reference per-item replay loop (kept for differential testing)."""
-        seen_branches = 0
-        warmup = self.warmup_branches
-        for item in trace:
-            if isinstance(item, TraceEvent):
-                dispatch_event(model, item)
-                continue
-            result = model.access_with_events(item)
-            seen_branches += 1
-            if seen_branches > warmup:
-                stats.record(result, item)
-
-    def _replay_columnar(self, model: BranchPredictorModel, trace: Trace,
-                         stats: PredictorStats) -> None:
-        """Columnar replay: equivalent to :meth:`_replay_items`, but iterating
-        pre-split branch runs with locally accumulated counters."""
-        columns = trace.columns()
-        branches = columns.branches
-        takens = columns.takens
-        conditionals = columns.conditionals
-        access = model.access_with_events
-        warmup = self.warmup_branches
-        seen = 0
-
-        total = conditional = direction_correct = 0
-        target_predictions = target_correct = 0
-        effective = mispredictions = evictions = hits = underflows = 0
-
-        for start, stop, event in columns.segments:
-            # Branches still inside the warm-up window train without recording.
-            if seen < warmup:
-                train_stop = min(stop, start + (warmup - seen))
-                for index in range(start, train_stop):
-                    access(branches[index])
-                seen += train_stop - start
-                start = train_stop
-            for index in range(start, stop):
-                result = access(branches[index])
-                total += 1
-                if conditionals[index]:
-                    conditional += 1
-                    if result.direction_correct:
-                        direction_correct += 1
-                if takens[index]:
-                    target_predictions += 1
-                    if result.target_correct:
-                        target_correct += 1
-                if result.effective_correct:
-                    effective += 1
-                if result.mispredicted:
-                    mispredictions += 1
-                if result.btb_eviction:
-                    evictions += 1
-                if result.btb_hit:
-                    hits += 1
-                if result.rsb_underflow:
-                    underflows += 1
-            seen += stop - start
-            if event is not None:
-                dispatch_event(model, event)
-
-        stats.branches += total
-        stats.conditional_branches += conditional
-        stats.direction_predictions += conditional
-        stats.direction_correct += direction_correct
-        stats.target_predictions += target_predictions
-        stats.target_correct += target_correct
-        stats.effective_correct += effective
-        stats.mispredictions += mispredictions
-        stats.btb_evictions += evictions
-        stats.btb_hits += hits
-        stats.rsb_underflows += underflows
 
     def run(self, model: BranchPredictorModel, trace: Trace) -> SimulationResult:
         """Replay ``trace`` through ``model`` and return its accuracy report.
@@ -147,17 +114,7 @@ class TraceSimulator:
         :meth:`compare` (or call ``model.reset()`` yourself) for cold replays.
         """
         stats = PredictorStats()
-        replayed = False
-        if fastpath.vector_enabled():
-            from repro.sim import vector
-
-            replayed = vector.try_replay_trace(
-                model, trace, self.warmup_branches, stats)
-        if not replayed:
-            if fastpath.fast_path_enabled():
-                self._replay_columnar(model, trace, stats)
-            else:
-                self._replay_items(model, trace, stats)
+        replay(model, trace, self.warmup_branches, (stats,))
 
         protection = model.protection_stats()
         rerandomizations = int(protection.get("rerandomizations", 0))

@@ -9,12 +9,11 @@ and charges each thread its own misprediction penalties.  Throughput is
 summarised with the harmonic mean of the per-thread IPCs, the metric the
 paper adopts for equally weighted workloads.
 
-Like :class:`~repro.sim.bpu_sim.TraceSimulator`, the co-run replay follows
-the process-wide backend switch: the ``vector`` backend replays the merged
-trace with array kernels where the model provides one (STBPU co-runs decline
-— the scheduling quantum swaps tokens too often for array chunks to pay off —
-and take the columnar loop), ``fast`` iterates the columnar view, and the
-per-item ``reference`` loop is kept for parity testing.
+The co-run replays the merged trace through
+:func:`repro.sim.bpu_sim.replay`, the rule every replay follows: the model's
+vector kernel where it has one and accepts the merge (STBPU kernels decline
+merges whose scheduling quantum swaps tokens too often for array chunks to
+pay off), and the shared columnar loop otherwise.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bpu.common import BranchPredictorModel, PredictorStats
-from repro.sim import fastpath
-from repro.sim.bpu_sim import dispatch_event
+from repro.sim.bpu_sim import replay
 from repro.sim.config import CPUConfig, SimulationLengths, TABLE_IV_CONFIG
 from repro.sim.metrics import PerformanceReport, harmonic_mean
 from repro.trace.branch import (
@@ -72,58 +70,6 @@ class SMTSimulator:
         self.lengths = lengths if lengths is not None else SimulationLengths()
         self.quantum = quantum
 
-    def _dispatch_event(self, model: BranchPredictorModel, event: TraceEvent) -> None:
-        dispatch_event(model, event)
-
-    def _coreplay_items(
-        self,
-        model: BranchPredictorModel,
-        merged: Trace,
-        thread_offset: int,
-        per_thread_stats: tuple[PredictorStats, PredictorStats],
-    ) -> None:
-        """Reference per-item co-run loop (kept for differential testing)."""
-        warmup = self.lengths.warmup_branches
-        seen = [0, 0]
-        for item in merged:
-            if isinstance(item, TraceEvent):
-                dispatch_event(model, item)
-                continue
-            thread = 0 if item.context_id < thread_offset else 1
-            result = model.access_with_events(item)
-            seen[thread] += 1
-            if seen[thread] > warmup:
-                per_thread_stats[thread].record(result, item)
-
-    def _coreplay_columnar(
-        self,
-        model: BranchPredictorModel,
-        merged: Trace,
-        thread_offset: int,
-        per_thread_stats: tuple[PredictorStats, PredictorStats],
-    ) -> None:
-        """Columnar co-run loop, equivalent to :meth:`_coreplay_items`."""
-        columns = merged.columns()
-        branches = columns.branches
-        takens = columns.takens
-        conditionals = columns.conditionals
-        context_ids = columns.context_ids
-        access = model.access_with_events
-        warmup = self.lengths.warmup_branches
-        seen = [0, 0]
-        for start, stop, event in columns.segments:
-            for index in range(start, stop):
-                result = access(branches[index])
-                thread = 0 if context_ids[index] < thread_offset else 1
-                count = seen[thread] + 1
-                seen[thread] = count
-                if count > warmup:
-                    per_thread_stats[thread].record_outcome(
-                        result, conditionals[index], takens[index]
-                    )
-            if event is not None:
-                dispatch_event(model, event)
-
     def run(
         self,
         model: BranchPredictorModel,
@@ -149,18 +95,8 @@ class SMTSimulator:
         )
 
         per_thread_stats = (PredictorStats(), PredictorStats())
-        replayed = False
-        if fastpath.vector_enabled():
-            from repro.sim import vector
-
-            replayed = vector.try_replay_smt(
-                model, merged, thread_offset, self.lengths.warmup_branches,
-                per_thread_stats)
-        if not replayed:
-            if fastpath.fast_path_enabled():
-                self._coreplay_columnar(model, merged, thread_offset, per_thread_stats)
-            else:
-                self._coreplay_items(model, merged, thread_offset, per_thread_stats)
+        replay(model, merged, self.lengths.warmup_branches, per_thread_stats,
+               thread_offset)
 
         reports = tuple(
             self._performance(model.name, trace.name, stats)

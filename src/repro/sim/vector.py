@@ -1,7 +1,7 @@
-"""NumPy vector replay backend: array-at-a-time prediction, bit-exact.
+"""NumPy vector replay kernels: array-at-a-time prediction, bit-exact.
 
-The scalar replay loops spend almost all their time in per-branch Python
-dispatch.  This backend replays whole event-free branch runs ("epochs") with
+The columnar replay loop spends almost all its time in per-branch Python
+dispatch.  This module replays whole event-free branch runs ("epochs") with
 array kernels instead, exploiting one structural property of the composite
 predictor: *training is driven entirely by resolved trace data* (taken bits,
 branch types, addresses), never by the predictions themselves.  That makes
@@ -27,7 +27,7 @@ chunks, and an STBPU re-randomization fired by the monitoring counters ends
 the chunk *at the firing access* — scans commit only the executed prefix (the
 scan composition is pure until committed) and replay resumes under the fresh
 token.  The parity tests pin all of this to byte-identical results against
-both scalar paths.
+the per-item oracle.
 
 TAGE and Perceptron direction components have no closed-form counter scan —
 TAGE allocation rewrites tags mid-span and perceptron training feeds its own
@@ -46,7 +46,8 @@ the block from live weights — the same commit/resume shape the epoch
 chunking uses for mid-chunk re-randomizations.
 
 Models opt in via ``vector_kernel()``; models with neither a kernel nor a
-stepper fall back to the PR-2 columnar fast path with a logged notice.
+stepper replay through the columnar loop
+(:func:`repro.sim.bpu_sim.replay_columnar`) with a logged notice.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ import logging
 
 import numpy as np
 
-from repro.bpu.common import PredictorStats
+from repro.sim.bpu_sim import dispatch_event
 from repro.trace.branch import (
     VIRTUAL_ADDRESS_MASK,
     EventKind,
-    PrivilegeMode,
     Trace,
     TraceEvent,
 )
@@ -1636,57 +1636,37 @@ class _CompositeEngine:
 
 # --------------------------------------------------------------------- stats
 
-def _accumulate_stats(engine: _CompositeEngine, stats: PredictorStats,
-                      warmup: int) -> None:
-    """Fold the whole-trace flag arrays into ``stats``, exactly like the
-    columnar loop records branches past the global warm-up count."""
-    n = engine.n
-    start = min(max(warmup, 0), n)
-    span = slice(start, n)
-    conditional = engine.is_cond[span]
-    taken = engine.arrays.takens[span]
-    dir_ok = engine.dir_ok[span]
-    target_ok = engine.target_ok[span]
-    effective = dir_ok & target_ok
-    conditional_count = int(np.count_nonzero(conditional))
-    stats.branches += n - start
-    stats.conditional_branches += conditional_count
-    stats.direction_predictions += conditional_count
-    stats.direction_correct += int(np.count_nonzero(conditional & dir_ok))
-    stats.target_predictions += int(np.count_nonzero(taken))
-    stats.target_correct += int(np.count_nonzero(taken & target_ok))
-    stats.effective_correct += int(np.count_nonzero(effective))
-    stats.mispredictions += (n - start) - int(np.count_nonzero(effective))
-    stats.btb_evictions += int(np.count_nonzero(engine.btb_evict[span]))
-    stats.btb_hits += int(np.count_nonzero(engine.btb_hit[span]))
-    stats.rsb_underflows += int(np.count_nonzero(engine.rsb_under[span]))
-
-
-def _accumulate_smt(engine: _CompositeEngine, per_thread_stats,
-                    thread_offset: int, warmup: int) -> None:
-    """Per-thread accumulation for SMT co-runs (per-thread warm-up ordinals)."""
-    contexts = engine.arrays.context_ids
-    thread_one = contexts >= thread_offset
-    for thread, mask in ((0, ~thread_one), (1, thread_one)):
-        positions = np.flatnonzero(mask)
-        measured = positions[warmup:]
-        if measured.shape[0] == 0:
-            continue
-        stats = per_thread_stats[thread]
+def _accumulate(engine: _CompositeEngine, per_thread_stats,
+                thread_offset: int, warmup: int) -> None:
+    """Fold the whole-trace flag arrays into ``per_thread_stats``, exactly
+    like the columnar loop: a branch belongs to thread 1 when its context id
+    is at least ``thread_offset``, and each thread's first ``warmup``
+    branches go unrecorded."""
+    warmup = max(warmup, 0)
+    if len(per_thread_stats) == 1:
+        selections = (slice(warmup, None),)
+    else:
+        thread_one = engine.arrays.context_ids >= thread_offset
+        selections = (np.flatnonzero(~thread_one)[warmup:],
+                      np.flatnonzero(thread_one)[warmup:])
+    for stats, measured in zip(per_thread_stats, selections):
         conditional = engine.is_cond[measured]
+        count = conditional.shape[0]
+        if count == 0:
+            continue
         taken = engine.arrays.takens[measured]
         dir_ok = engine.dir_ok[measured]
         target_ok = engine.target_ok[measured]
         effective = dir_ok & target_ok
         conditional_count = int(np.count_nonzero(conditional))
-        stats.branches += measured.shape[0]
+        stats.branches += count
         stats.conditional_branches += conditional_count
         stats.direction_predictions += conditional_count
         stats.direction_correct += int(np.count_nonzero(conditional & dir_ok))
         stats.target_predictions += int(np.count_nonzero(taken))
         stats.target_correct += int(np.count_nonzero(taken & target_ok))
         stats.effective_correct += int(np.count_nonzero(effective))
-        stats.mispredictions += measured.shape[0] - int(np.count_nonzero(effective))
+        stats.mispredictions += count - int(np.count_nonzero(effective))
         stats.btb_evictions += int(np.count_nonzero(engine.btb_evict[measured]))
         stats.btb_hits += int(np.count_nonzero(engine.btb_hit[measured]))
         stats.rsb_underflows += int(np.count_nonzero(engine.rsb_under[measured]))
@@ -1707,20 +1687,11 @@ class _KernelBase:
         self.engine = engine
         self.model = model
 
-    def run_trace(self, trace: Trace, warmup: int, stats: PredictorStats) -> bool:
-        if not self._replay(trace):
-            return False
-        _accumulate_stats(self.engine, stats, warmup)
-        return True
-
-    def run_smt(self, merged: Trace, thread_offset: int, warmup: int,
-                per_thread_stats) -> bool:
-        if not self._replay(merged):
-            return False
-        _accumulate_smt(self.engine, per_thread_stats, thread_offset, warmup)
-        return True
-
-    def _replay(self, trace: Trace) -> bool:
+    def run(self, trace: Trace, warmup: int, per_thread_stats,
+            thread_offset: int) -> bool:
+        """Replay ``trace`` and fold its outcomes into ``per_thread_stats``
+        (see :func:`repro.sim.bpu_sim.replay`); ``False`` when the kernel
+        declines the trace, before touching any state."""
         columns = trace.columns()
         engine = self.engine
         engine.begin(columns.arrays())
@@ -1735,6 +1706,7 @@ class _KernelBase:
                     self._on_event(event)
         engine.finish()
         self._sync_extra(columns)
+        _accumulate(engine, per_thread_stats, thread_offset, warmup)
         return True
 
     def _prepare(self, columns) -> bool:
@@ -1862,16 +1834,7 @@ class _STBPUKernel(_KernelBase):
             position = run_hi
 
     def _on_event(self, event: TraceEvent) -> None:
-        model = self.model
-        kind = event.kind
-        if kind is EventKind.CONTEXT_SWITCH:
-            model.on_context_switch(event.context_id)
-        elif kind is EventKind.MODE_SWITCH_ENTER_KERNEL:
-            model.on_mode_switch(PrivilegeMode.KERNEL, event.context_id)
-        elif kind is EventKind.MODE_SWITCH_EXIT_KERNEL:
-            model.on_mode_switch(PrivilegeMode.USER, event.context_id)
-        elif kind is EventKind.INTERRUPT:
-            model.on_interrupt(event.context_id)
+        dispatch_event(self.model, event)
 
 
 # ------------------------------------------------------------ kernel builders
@@ -1975,13 +1938,13 @@ def kernel_for(model):
         if name not in _FALLBACK_LOGGED:
             _FALLBACK_LOGGED.add(name)
             logger.info(
-                "model %r has no vector kernel; falling back to the columnar "
-                "fast path", name)
+                "model %r has no vector kernel; replaying with the columnar "
+                "loop", name)
     return kernel
 
 
 def kernel_status(model) -> str:
-    """Backend coverage class for ``model``.
+    """Vector-kernel coverage class for ``model``.
 
     ``"kernel"``
         Closed-form array kernels end to end (SKL composites).
@@ -1990,7 +1953,7 @@ def kernel_status(model) -> str:
         (TAGE, Perceptron): span inputs are speculative and repaired or
         re-batched when a guard fails.
     ``"fallback"``
-        No vector kernel; replay drops to the columnar fast path.
+        No vector kernel; every replay runs the columnar loop.
     """
     kernel = model.vector_kernel()
     if kernel is None:
@@ -2019,21 +1982,3 @@ def suppress_fallback_notices(names) -> None:
     each model and spoke for the whole process tree.
     """
     _FALLBACK_LOGGED.update(names)
-
-
-def try_replay_trace(model, trace: Trace, warmup: int,
-                     stats: PredictorStats) -> bool:
-    """Vector-replay ``trace`` through ``model`` into ``stats`` if possible."""
-    kernel = kernel_for(model)
-    if kernel is None:
-        return False
-    return kernel.run_trace(trace, warmup, stats)
-
-
-def try_replay_smt(model, merged: Trace, thread_offset: int, warmup: int,
-                   per_thread_stats) -> bool:
-    """Vector-replay an SMT co-run if the model's kernel supports the merge."""
-    kernel = kernel_for(model)
-    if kernel is None:
-        return False
-    return kernel.run_smt(merged, thread_offset, warmup, per_thread_stats)

@@ -1,7 +1,7 @@
 """Content-addressed experiment store: cache once, serve forever.
 
-The engine's results are deterministic and bit-identical across backends,
-worker counts and start methods, which makes every job's full input a valid
+The engine's results are deterministic and bit-identical across replay
+paths, worker counts and start methods, which makes every job's full input a valid
 cache key.  This package turns that guarantee into a persistence layer:
 
 * :mod:`repro.store.keys` — canonical fingerprints of jobs and scenarios,

@@ -2,6 +2,11 @@
 shipping, and the bounded LRU trace cache."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -83,8 +88,10 @@ class TestSharedMemoryShipping:
         # raw ``items`` list of a shipped trace saw zero branches).
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
+        # ST_SKLCond co-runs are declined by their vector kernel: the
+        # columnar loop runs on the shipped trace's materialised columns.
         grid = SimulationGrid(
-            kind="smt", models=("baseline", "conservative"),
+            kind="smt", models=("baseline", "conservative", "ST_SKLCond"),
             workloads=(("505.mcf", "541.leela"),), scale=_SCALE)
         serial = EngineRunner(workers=1).run(grid)
         with EngineRunner(workers=2, start_method="spawn") as runner:
@@ -172,6 +179,46 @@ class TestSharedMemoryShipping:
             assert list(resolved) == list(trace)
         finally:
             self._release(shipment, key, trace)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_parallel_runs_release_shared_memory(self, start_method):
+        # Two runs with different traces on one pool: under fork the second
+        # run ships through shared memory to workers forked before the
+        # parent's resource tracker existed.  Neither the workers nor the
+        # trackers may report or unlink the parent's blocks, and the parent
+        # must remove every block it made.
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        shm_dir = Path("/dev/shm")
+        if not shm_dir.is_dir():
+            pytest.skip("no /dev/shm to inspect")
+        script = textwrap.dedent(f"""\
+            from repro.engine import EngineRunner, ExperimentScale, SimulationGrid
+
+            if __name__ == "__main__":
+                scale = ExperimentScale(branch_count=600, warmup_branches=60,
+                                        seed=3)
+                with EngineRunner(workers=2,
+                                  start_method={start_method!r}) as runner:
+                    for workloads in (("505.mcf", "519.lbm"),
+                                      ("541.leela", "557.xz")):
+                        runner.run(SimulationGrid(
+                            kind="trace", models=("baseline",),
+                            workloads=workloads, scale=scale))
+                    assert runner._shipments
+            """)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part)
+        before = sorted(shm_dir.iterdir())
+        completed = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   timeout=300)
+        after = sorted(shm_dir.iterdir())
+        assert completed.returncode == 0, completed.stderr
+        assert "resource_tracker" not in completed.stderr, completed.stderr
+        assert after == before
 
     @staticmethod
     def _release(shipment, key, trace):

@@ -16,7 +16,7 @@ from repro.engine.runner import (
     _vector_fallback_suppressions,
     execute_job_batch,
 )
-from repro.sim import fastpath, vector
+from repro.sim import vector
 
 _SCALE = ExperimentScale(branch_count=400, warmup_branches=50, seed=13)
 
@@ -50,10 +50,9 @@ class TestFallbackSuppressions:
     def test_probe_logs_once_and_returns_the_snapshot(
             self, caplog, clean_fallback_state):
         jobs = _jobs()
-        with fastpath.forced_backend("vector"):
-            with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
-                quiet = _vector_fallback_suppressions(jobs)
-                quiet_again = _vector_fallback_suppressions(jobs)
+        with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
+            quiet = _vector_fallback_suppressions(jobs)
+            quiet_again = _vector_fallback_suppressions(jobs)
         notices = [record for record in caplog.records
                    if "no vector kernel" in record.message]
         assert len(notices) == 1
@@ -63,9 +62,8 @@ class TestFallbackSuppressions:
         jobs = _jobs(models=("baseline", "ST_SKLCond", "TAGE_SC_L_64KB",
                              "PerceptronBP"),
                      workloads=("505.mcf",))
-        with fastpath.forced_backend("vector"):
-            with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
-                quiet = _vector_fallback_suppressions(jobs)
+        with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
+            quiet = _vector_fallback_suppressions(jobs)
         assert quiet == ()
         assert not [r for r in caplog.records if "no vector kernel" in r.message]
 
@@ -75,9 +73,8 @@ class TestFallbackSuppressions:
         # exactly the kernel-less one, and exactly one notice is logged.
         jobs = _jobs(models=("TAGE_SC_L_8KB", NO_KERNEL, "baseline"),
                      workloads=("505.mcf",))
-        with fastpath.forced_backend("vector"):
-            with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
-                quiet = _vector_fallback_suppressions(jobs)
+        with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
+            quiet = _vector_fallback_suppressions(jobs)
         notices = [record for record in caplog.records
                    if "no vector kernel" in record.message]
         assert quiet == (NO_KERNEL,)
@@ -90,23 +87,16 @@ class TestFallbackSuppressions:
         # met that model would then drop its first notice on the floor.
         vector._FALLBACK_LOGGED.add("UnrelatedKernelLessModel")
         jobs = _jobs(models=(NO_KERNEL, "baseline"), workloads=("505.mcf",))
-        with fastpath.forced_backend("vector"):
-            quiet = _vector_fallback_suppressions(jobs)
+        quiet = _vector_fallback_suppressions(jobs)
         assert quiet == (NO_KERNEL,)
-
-    def test_non_vector_backend_skips_probing(self, clean_fallback_state):
-        with fastpath.forced_backend("fast"):
-            assert _vector_fallback_suppressions(_jobs()) == ()
-        assert runner_module._PROBED_KERNEL_SPECS == {}
 
     def test_shipped_suppressions_keep_a_worker_batch_quiet(
             self, caplog, clean_fallback_state):
         # Simulate the worker side in-process: a batch that would log gets
         # the parent's snapshot first and stays silent.
         jobs = _jobs(workloads=("505.mcf",))
-        with fastpath.forced_backend("vector"):
-            with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
-                execute_job_batch(jobs, (), (NO_KERNEL,))
+        with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
+            execute_job_batch(jobs, (), (NO_KERNEL,))
         assert not [r for r in caplog.records if "no vector kernel" in r.message]
 
     def test_parallel_mixed_grid_logs_the_notice_once(
@@ -114,10 +104,9 @@ class TestFallbackSuppressions:
         # End-to-end: multiple batches across two workers, one parent notice,
         # kerneled models riding in the same grid.
         jobs = _jobs(models=(NO_KERNEL, "TAGE_SC_L_8KB"))
-        with fastpath.forced_backend("vector"):
-            with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
-                with EngineRunner(workers=2) as runner:
-                    parallel = runner.run_jobs(jobs)
+        with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
+            with EngineRunner(workers=2) as runner:
+                parallel = runner.run_jobs(jobs)
         notices = [record for record in caplog.records
                    if "no vector kernel" in record.message]
         assert len(notices) == 1

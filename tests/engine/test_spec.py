@@ -1,6 +1,8 @@
 """Tests for the declarative experiment-spec API and the streaming runner."""
 
+import argparse
 import json
+import re
 
 import pytest
 
@@ -164,3 +166,32 @@ class TestCLIAliases:
         captured = capsys.readouterr()
         assert "[5/5]" in captured.err
         assert "[5/5]" not in captured.out
+
+
+def _subcommands(parser=None, prefix=()):
+    """Every subcommand path of the CLI parser, nested ones included."""
+    if parser is None:
+        from repro.cli import build_parser
+
+        parser = build_parser()
+    paths = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                paths.append(prefix + (name,))
+                paths.extend(_subcommands(sub, prefix + (name,)))
+    return paths
+
+
+@pytest.mark.parametrize("command", _subcommands(), ids=" ".join)
+def test_every_subcommand_renders_help(command, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: repro ")
+    # Replay is chosen from the model and trace; no option selects it.
+    assert not [flag for flag in re.findall(r"--[\w-]+", out)
+                if "backend" in flag]

@@ -478,7 +478,7 @@ class TestHotPath:
         assert report.clean
 
     def test_isinstance_inside_replay_loop_is_flagged_once(self, lint_tree):
-        report = lint_tree({"repro/sim/fastpath.py": """\
+        report = lint_tree({"repro/sim/vector.py": """\
             def replay(items):
                 total = 0
                 for batch in items:
@@ -492,7 +492,7 @@ class TestHotPath:
         assert "isinstance" in report.findings[0].message
 
     def test_isinstance_outside_loops_is_allowed(self, lint_tree):
-        report = lint_tree({"repro/sim/fastpath.py": """\
+        report = lint_tree({"repro/sim/vector.py": """\
             def prepare(source):
                 if isinstance(source, list):
                     return source

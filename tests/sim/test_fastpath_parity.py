@@ -1,10 +1,10 @@
-"""Differential tests: the columnar fast path must be invisible in results.
+"""Differential tests: the columnar view and the columnar loop.
 
-The simulators keep two replay implementations — the default columnar loop
-over :class:`~repro.trace.branch.TraceColumns` and the per-item reference
-loop.  These tests force each in turn over the same grids/traces and require
-byte-identical serialized output, which is the contract that lets the fast
-path evolve freely.
+The columnar loop over :class:`~repro.trace.branch.TraceColumns` is the
+program's replay path wherever a vector kernel is missing or declines.
+These tests run the same traces and grids through production, through
+production with every kernel withheld (the columnar loop), and through the
+per-item oracle, and require byte-identical results.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ from repro.bpu.protections import make_unprotected_baseline
 from repro.core.stbpu import make_stbpu_skl
 from repro.engine import EngineRunner, ExperimentScale, SimulationGrid
 from repro.sim.bpu_sim import TraceSimulator
-from repro.sim.fastpath import fast_path_enabled, forced_fast_path
 from repro.sim.smt import SMTSimulator
 from repro.trace.branch import (
     BranchRecord,
@@ -25,6 +24,7 @@ from repro.trace.branch import (
     Trace,
     TraceEvent,
 )
+from replay_oracle import PATHS, replay_path
 
 
 def _mixed_jobs():
@@ -78,33 +78,32 @@ class TestColumnarView:
         assert rebuilt is not first
         assert rebuilt.item_count == 2
 
-    def test_fast_path_enabled_by_default(self):
-        assert fast_path_enabled()
-
 
 class TestReplayParity:
     def test_trace_simulator_paths_match(self, small_apache_trace):
         results = {}
-        for enabled in (True, False):
-            with forced_fast_path(enabled):
+        for path in PATHS:
+            with replay_path(path):
                 model = make_stbpu_skl(seed=5)
                 simulator = TraceSimulator(warmup_branches=300)
-                results[enabled] = simulator.run(model, small_apache_trace)
-        assert results[True].stats == results[False].stats
-        assert results[True].report == results[False].report
+                result = simulator.run(model, small_apache_trace)
+                results[path] = (result.stats, result.report)
+        assert results["production"] == results["oracle"]
+        assert results["columnar"] == results["oracle"]
 
     def test_smt_simulator_paths_match(self, small_mcf_trace, small_apache_trace):
         stats = {}
-        for enabled in (True, False):
-            with forced_fast_path(enabled):
+        for path in PATHS:
+            with replay_path(path):
                 model = make_unprotected_baseline()
                 result = SMTSimulator().run(model, small_mcf_trace, small_apache_trace)
-                stats[enabled] = (result.thread_stats, result.protection)
-        assert stats[True] == stats[False]
+                stats[path] = (result.thread_stats, result.protection)
+        assert stats["production"] == stats["oracle"]
+        assert stats["columnar"] == stats["oracle"]
 
     def test_warmup_boundary_straddles_event_segments(self):
         # Warm-up ends mid-segment and an event splits the branch stream:
-        # both paths must exclude exactly the same records.
+        # every path must exclude exactly the same records.
         trace = Trace(name="edge")
         for index in range(10):
             trace.append(BranchRecord(ip=0x4000 + index * 64, target=0x9000,
@@ -113,24 +112,26 @@ class TestReplayParity:
                 trace.append(TraceEvent(EventKind.CONTEXT_SWITCH, context_id=1))
         for warmup in (0, 3, 5, 7, 10, 12):
             stats = {}
-            for enabled in (True, False):
-                with forced_fast_path(enabled):
+            for path in PATHS:
+                with replay_path(path):
                     model = make_unprotected_baseline()
-                    stats[enabled] = TraceSimulator(warmup_branches=warmup).run(
+                    stats[path] = TraceSimulator(warmup_branches=warmup).run(
                         model, trace).stats
-            assert stats[True] == stats[False], f"warmup={warmup}"
+            assert stats["production"] == stats["oracle"], f"warmup={warmup}"
+            assert stats["columnar"] == stats["oracle"], f"warmup={warmup}"
 
 
 class TestEngineParity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mixed_grid_json_identical_across_paths(self, workers):
-        if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            # The fast-path switch is a module global; only forked workers
-            # inherit it, so on spawn-only platforms the reference-path run
-            # would silently execute the fast path and verify nothing.
-            pytest.skip("parallel path toggling requires the fork start method")
-        frames = {}
-        for enabled in (True, False):
-            with forced_fast_path(enabled):
-                frames[enabled] = EngineRunner(workers=workers).run_jobs(_mixed_jobs())
-        assert frames[True].to_json() == frames[False].to_json()
+        # The oracle runs serially in this process; production runs serially
+        # or on a 2-worker spawn pool, whose workers import the program
+        # afresh and so can never see the oracle substitution.
+        if workers > 1 and "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("spawn start method unavailable")
+        with replay_path("oracle"):
+            oracle = EngineRunner().run_jobs(_mixed_jobs())
+        start_method = "spawn" if workers > 1 else None
+        with EngineRunner(workers=workers, start_method=start_method) as runner:
+            production = runner.run_jobs(_mixed_jobs())
+        assert production.to_json() == oracle.to_json()

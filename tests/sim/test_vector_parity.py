@@ -1,10 +1,12 @@
-"""Three-way differential tests: ``reference`` / ``fast`` / ``vector``.
+"""Differential tests: production replay against the per-item oracle.
 
-The vector backend replays with array kernels (segmented counter scans,
-history window kernels, a slim structural loop); these tests pin it — per
-model family, including a re-randomization-heavy STBPU scenario and an SMT
-pair — to byte-identical serialized result frames against both scalar paths,
-plus unit-level parity of the underlying kernels.
+Production replay takes each model's vector kernel (segmented counter scans,
+history window kernels, a slim structural loop, guarded steppers) and the
+columnar loop where a kernel declines; these tests pin it — per model family,
+including a re-randomization-heavy STBPU scenario and SMT pairs — to
+byte-identical serialized result frames and post-replay model state against
+the oracle in :mod:`replay_oracle`, plus unit-level parity of the underlying
+kernels.
 """
 
 import logging
@@ -19,22 +21,25 @@ from repro.core.monitoring import MonitorConfig
 from repro.core.remapping import keyed_remap, keyed_remap_array
 from repro.core.stbpu import make_stbpu_skl
 from repro.engine import EngineRunner, ExperimentScale, ModelSpec, SimulationGrid
-from repro.sim import fastpath, vector
+from repro.sim import vector
 from repro.sim.bpu_sim import TraceSimulator
 from repro.trace.branch import BranchRecord, BranchType, Trace
+from replay_oracle import replay_path
 
-BACKENDS = ("reference", "fast", "vector")
+#: The two sides of every parity case.
+SIDES = ("oracle", "production")
 
 
 def _family_jobs():
     """One representative grid cell per model family, every simulator kind.
 
     ``ST_SKLCond[r=0.0005]`` has aggressively low monitor thresholds, so its
-    cells re-randomize many times mid-trace — exercising the vector backend's
+    cells re-randomize many times mid-trace — exercising the vector kernel's
     fired-chunk prefix commit.  The TAGE and Perceptron cells (both sizes,
     protected and unprotected) replay through the guarded span steppers, and
     every ablation facade rides along, so each registry family's kernel is
-    pinned against both scalar paths.
+    pinned against the oracle.  The ST_SKLCond SMT co-run is declined by its
+    kernel and pins the columnar loop.
     """
     scale = ExperimentScale(branch_count=2_000, warmup_branches=200, seed=13)
     rerand_heavy = ModelSpec.of("ST_SKLCond", r=0.0005)
@@ -63,14 +68,45 @@ def _family_jobs():
     return jobs
 
 
+def _guarded_smoke_jobs():
+    """The guarded TAGE and Perceptron kernels on one short trace."""
+    return SimulationGrid(
+        kind="trace", models=("TAGE_SC_L_8KB", "ST_PerceptronBP"),
+        workloads=("505.mcf",),
+        scale=ExperimentScale(branch_count=4_000, warmup_branches=400,
+                              seed=7)).jobs()
+
+
+def _assert_frames_match_oracle(jobs):
+    frames = {}
+    for side in SIDES:
+        with replay_path(side):
+            frames[side] = EngineRunner().run_jobs(jobs).to_json()
+    assert frames["production"] == frames["oracle"]
+
+
 class TestThreeWayParity:
+    """Production replay against the per-item oracle."""
+
     def test_family_grid_json_identical_across_backends(self):
-        frames = {}
-        for backend in BACKENDS:
-            with fastpath.forced_backend(backend):
-                frames[backend] = EngineRunner().run_jobs(_family_jobs())
-        assert frames["vector"].to_json() == frames["fast"].to_json()
-        assert frames["vector"].to_json() == frames["reference"].to_json()
+        _assert_frames_match_oracle(_family_jobs())
+
+    def test_guarded_smoke_grid_json_identical(self):
+        _assert_frames_match_oracle(_guarded_smoke_jobs())
+
+    def test_figure3_smoke_json_identical(self, tmp_path):
+        """``figure3 --workload-limit 1 --scale fast``: the whole JSON
+        envelope the command writes, not only the frame."""
+        from repro.cli import main
+
+        envelopes = {}
+        for side in SIDES:
+            path = tmp_path / f"{side}.json"
+            with replay_path(side):
+                assert main(["figure3", "--workload-limit", "1", "--scale",
+                             "fast", "--json", str(path)]) == 0
+            envelopes[side] = path.read_bytes()
+        assert envelopes["production"] == envelopes["oracle"]
 
     def test_rerandomization_heavy_replay_matches_scalar_state(self):
         """Mid-chunk monitor firings must leave *identical model state*, not
@@ -79,15 +115,15 @@ class TestThreeWayParity:
 
         trace = trace_for("505.mcf", 5_000, 7)
         snapshots = {}
-        for backend in ("fast", "vector"):
-            with fastpath.forced_backend(backend):
+        for side in SIDES:
+            with replay_path(side):
                 config = MonitorConfig(misprediction_threshold=60,
                                        eviction_threshold=45,
                                        direction_misprediction_threshold=None)
                 model = make_stbpu_skl(monitor_config=config, seed=5)
                 TraceSimulator(warmup_branches=250).run(model, trace)
                 inner = model.inner
-                snapshots[backend] = (
+                snapshots[side] = (
                     model.protection_stats(),
                     model.current_token().value,
                     (model.monitor.counters.mispredictions_remaining,
@@ -107,12 +143,12 @@ class TestThreeWayParity:
                     inner.history.bhb.value,
                     list(inner.history.outcomes),
                 )
-        assert snapshots["fast"][0]["rerandomizations"] > 5
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["oracle"][0]["rerandomizations"] > 5
+        assert snapshots["oracle"] == snapshots["production"]
 
     def test_non_power_of_two_pht_entries(self):
         # The scalar PatternHistoryTable wraps every access with `% entries`;
-        # the vector backend must apply the same wrap (regression: fold
+        # the vector kernel must apply the same wrap (regression: fold
         # outputs past a 12000-entry table raised IndexError).
         from repro.bpu.common import StructureSizes
         from repro.bpu.protections import make_unprotected_baseline
@@ -121,12 +157,12 @@ class TestThreeWayParity:
         trace = trace_for("505.mcf", 2_000, 7)
         sizes = StructureSizes(pht_entries=12_000)
         stats = {}
-        for backend in ("fast", "vector"):
-            with fastpath.forced_backend(backend):
+        for side in SIDES:
+            with replay_path(side):
                 model = make_unprotected_baseline(sizes)
-                stats[backend] = TraceSimulator(warmup_branches=100).run(
+                stats[side] = TraceSimulator(warmup_branches=100).run(
                     model, trace).stats
-        assert stats["fast"] == stats["vector"]
+        assert stats["oracle"] == stats["production"]
 
     @pytest.mark.parametrize("warmup", [0, 3, 7, 50])
     def test_warmup_boundaries(self, warmup):
@@ -136,12 +172,12 @@ class TestThreeWayParity:
                 ip=0x4000 + index * 64, target=0x9000 + (index % 5) * 256,
                 taken=index % 3 != 0, branch_type=BranchType.CONDITIONAL))
         stats = {}
-        for backend in ("fast", "vector"):
-            with fastpath.forced_backend(backend):
+        for side in SIDES:
+            with replay_path(side):
                 model = make_unprotected_baseline()
-                stats[backend] = TraceSimulator(warmup_branches=warmup).run(
+                stats[side] = TraceSimulator(warmup_branches=warmup).run(
                     model, trace).stats
-        assert stats["fast"] == stats["vector"], f"warmup={warmup}"
+        assert stats["oracle"] == stats["production"], f"warmup={warmup}"
 
 
 def _tage_state(direction):
@@ -180,7 +216,8 @@ def _composite_state(composite):
 
 
 class TestPredictorStateParity:
-    """Fast-vs-vector *state* parity for the guarded TAGE/Perceptron kernels.
+    """Oracle-vs-production *state* parity for the guarded TAGE/Perceptron
+    kernels.
 
     The frame-level grid above already pins the serialized stats; these
     tests additionally require the post-replay predictor state — every
@@ -194,8 +231,8 @@ class TestPredictorStateParity:
 
         trace = trace_for(workload, branches, 7)
         snapshots = {}
-        for backend in ("fast", "vector"):
-            with fastpath.forced_backend(backend):
+        for side in SIDES:
+            with replay_path(side):
                 model = factory()
                 result = TraceSimulator(warmup_branches=250).run(model, trace)
                 inner = getattr(model, "inner", model)
@@ -203,7 +240,7 @@ class TestPredictorStateParity:
                          if hasattr(model, "current_token") else None)
                 stats = (model.protection_stats()
                          if hasattr(model, "current_token") else None)
-                snapshots[backend] = (result, stats, token,
+                snapshots[side] = (result, stats, token,
                                       state_fn(inner.direction),
                                       _composite_state(inner))
         return snapshots
@@ -217,7 +254,7 @@ class TestPredictorStateParity:
         config = getattr(tage_module, config_name)
         snapshots = self._replay(lambda: make_unprotected_tage(config),
                                  workload, _tage_state)
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["oracle"] == snapshots["production"]
 
     @pytest.mark.parametrize("workload", ["505.mcf", "apache2_prefork_c128"])
     def test_unprotected_perceptron_state(self, workload):
@@ -225,7 +262,7 @@ class TestPredictorStateParity:
 
         snapshots = self._replay(make_unprotected_perceptron, workload,
                                  _perceptron_state)
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["oracle"] == snapshots["production"]
 
     @pytest.mark.parametrize("config_name", ["TAGE_SC_L_8KB", "TAGE_SC_L_64KB"])
     def test_rerand_heavy_st_tage_state(self, config_name):
@@ -244,8 +281,8 @@ class TestPredictorStateParity:
         snapshots = self._replay(
             lambda: make_stbpu_tage(config, monitor_config=monitor, seed=5),
             "505.mcf", _tage_state)
-        assert snapshots["fast"][1]["rerandomizations"] > 5
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["oracle"][1]["rerandomizations"] > 5
+        assert snapshots["oracle"] == snapshots["production"]
 
     def test_rerand_heavy_st_perceptron_state(self):
         from repro.core.stbpu import make_stbpu_perceptron
@@ -256,8 +293,8 @@ class TestPredictorStateParity:
         snapshots = self._replay(
             lambda: make_stbpu_perceptron(monitor_config=monitor, seed=5),
             "505.mcf", _perceptron_state)
-        assert snapshots["fast"][1]["rerandomizations"] > 5
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["oracle"][1]["rerandomizations"] > 5
+        assert snapshots["oracle"] == snapshots["production"]
 
     def test_perceptron_guard_abort_resumes_exactly(self):
         """A single hot conditional drives every access into one weight row:
@@ -273,17 +310,17 @@ class TestPredictorStateParity:
                 taken=(index * 7) % 11 < 6,
                 branch_type=BranchType.CONDITIONAL))
         snapshots = {}
-        for backend in ("fast", "vector"):
-            with fastpath.forced_backend(backend):
+        for side in SIDES:
+            with replay_path(side):
                 model = make_unprotected_perceptron()
                 result = TraceSimulator(warmup_branches=100).run(model, trace)
-                snapshots[backend] = (result,
-                                      _perceptron_state(model.direction))
+                snapshots[side] = (result,
+                                   _perceptron_state(model.direction))
         # The row trained (so block snapshots went stale mid-block) …
         assert any(any(weight for weight in row)
-                   for row in snapshots["vector"][1])
+                   for row in snapshots["production"][1])
         # … and the aborted accesses resumed bit-identically.
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["oracle"] == snapshots["production"]
 
     def test_tage_span_boundaries_resume_exactly(self, monkeypatch):
         # A tiny span cap forces many prepare/commit cycles mid-trace; the
@@ -293,40 +330,11 @@ class TestPredictorStateParity:
         monkeypatch.setattr(vector, "_STEPPER_SPAN_LIMIT", 64)
         snapshots = self._replay(make_unprotected_tage, "505.mcf",
                                  _tage_state, branches=2_000)
-        assert snapshots["fast"] == snapshots["vector"]
+        assert snapshots["oracle"] == snapshots["production"]
 
 
 class TestBackendSwitch:
-    def test_default_backend_is_vector(self):
-        assert fastpath.backend() in fastpath.BACKENDS
-        assert fastpath.DEFAULT_BACKEND == "vector"
-
-    def test_forced_backend_restores(self):
-        before = fastpath.backend()
-        with fastpath.forced_backend("reference"):
-            assert fastpath.backend() == "reference"
-            assert not fastpath.fast_path_enabled()
-        assert fastpath.backend() == before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            fastpath.set_backend("simd")
-
-    def test_legacy_two_level_api_maps_onto_backends(self):
-        with fastpath.forced_fast_path(False):
-            assert fastpath.backend() == "reference"
-        with fastpath.forced_fast_path(True):
-            assert fastpath.backend() == "fast"
-            assert not fastpath.vector_enabled()
-
-    def test_cli_backend_option(self, capsys, tmp_path):
-        from repro.cli import main
-
-        json_path = tmp_path / "f3.json"
-        assert main(["figure3", "--workload-limit", "1", "--branches", "800",
-                     "--warmup", "80", "--backend", "fast",
-                     "--json", str(json_path)]) == 0
-        assert json_path.exists()
+    """Vector-kernel coverage and the fallback notice."""
 
     def test_fallback_is_logged_once(self, caplog):
         from repro.bpu.common import StructureSizes
